@@ -43,6 +43,9 @@ equiv:
 	$(GO) run ./cmd/drequiv -gen arm -xval 1
 
 check: vet lint equiv sweep serve scale
+	# The benchmark's probe compiles against the internal packages; an API
+	# change that would break the benchmark fails here first.
+	cd perfbench && $(GO) build -o /dev/null ./probe
 	# Targeted race pass first: the parallel engine, the fault fan-out, the
 	# sweep's ordered fold and journal, the ctrlnet derivation cache and the
 	# equiv model built on it are the shared-state hot spots; fail fast on

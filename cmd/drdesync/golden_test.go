@@ -17,8 +17,9 @@ import (
 // CLI half of the golden byte-identity suite (the drserve half lives in
 // internal/flowserv): the default-backend netlist and SDC the tool writes
 // for the generated case studies are pinned by digest across driver
-// refactors. The CLI path differs from the server's — degradation loop,
-// stage-check lint wiring, no derived period — so both are pinned.
+// refactors. Both entry points run the same gate pipeline (internal/gates);
+// they differ only in period defaulting — the CLI hands a missing period to
+// the backend, the server derives one from STA first — so both are pinned.
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden_digests.txt from the current tool output")
 

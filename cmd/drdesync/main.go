@@ -26,7 +26,9 @@
 // the -faults campaign — with 0 meaning all CPUs; every output is identical
 // at any value. Ctrl-C cancels the run cleanly between stages.
 //
-// After export the tool always runs the static marked-graph gate
+// The gate sequence and its degradation policy are internal/gates', the
+// same pipeline drserve runs. After export the tool always runs the static
+// marked-graph gate
 // (internal/mga): polynomial-time liveness, token-bound safety and a
 // static period bound over the inserted control network, deterministic at
 // any -j. The optional -equiv gate then explores the same extraction
@@ -39,6 +41,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -46,9 +49,10 @@ import (
 	"desync/internal/cliutil"
 	"desync/internal/core"
 	"desync/internal/designs"
-	"desync/internal/lint"
+	"desync/internal/gates"
 	"desync/internal/netlist"
 	"desync/internal/stdcells"
+	"desync/internal/twophase"
 	"desync/internal/verilog"
 )
 
@@ -143,61 +147,40 @@ func run(ctx context.Context, o runOpts) error {
 	if o.cdet {
 		mode = core.ModeCompletion
 	}
-	opts := core.Options{
-		Backend:    o.backend,
-		Mode:       mode,
-		Period:     o.period,
-		Margin:     o.margin,
-		MuxTaps:    o.mux,
-		FalsePaths: fps,
-		// Pre-grouped generators (arm, the pipeline family) bake their
-		// region assignment into the instances.
-		ManualGroups: o.manualGroups || designs.PreGrouped(o.gen),
-		SkipClean:    o.skipClean,
-		Parallelism:  o.parallelism,
-	}
-	d, res, err := desynchronizeWithFallback(ctx, func() (*designState, error) {
-		var dd *netlist.Design
-		var err error
+	rep, err := gates.Run(ctx, func(int) (*netlist.Design, error) {
 		if o.gen != "" {
-			dd, err = designs.ParseSpec(o.gen, stdcells.New(variant))
-		} else {
-			dd, err = verilog.Read(string(src), stdcells.New(variant), o.top)
+			return designs.ParseSpec(o.gen, stdcells.New(variant))
 		}
-		if err != nil {
-			return nil, err
-		}
-		// Pre-import lint gate: reject structurally broken inputs before the
-		// heavy pipeline touches them.
-		if err := lintGate("pre-import", lint.CheckDesign(dd, lint.Options{}), os.Stderr); err != nil {
-			return nil, err
-		}
-		if o.simplify {
-			n := core.SimplifyNames(dd.Top)
-			fmt.Printf("simplified %d names\n", n)
-		}
-		return &designState{d: dd}, nil
-	}, opts, os.Stderr)
+		return verilog.Read(string(src), stdcells.New(variant), o.top)
+	}, gates.Plan{
+		Core: core.Options{
+			Backend:    o.backend,
+			Mode:       mode,
+			Period:     o.period,
+			Margin:     o.margin,
+			MuxTaps:    o.mux,
+			FalsePaths: fps,
+			// Pre-grouped generators (arm, the pipeline family) bake their
+			// region assignment into the instances.
+			ManualGroups: o.manualGroups || designs.PreGrouped(o.gen),
+			SkipClean:    o.skipClean,
+			Parallelism:  o.parallelism,
+		},
+		SimplifyNames:   o.simplify,
+		Equiv:           o.equivGate,
+		EquivMaxStates:  o.equivMaxStates,
+		EquivXval:       o.equivXval,
+		EquivSeed:       o.equivSeed,
+		Faults:          o.faults,
+		FaultCycles:     o.faultCycles,
+		FaultsPerRegion: o.faultsPerRegion,
+		OnEvent:         func(e gates.Event) { logEvent(os.Stderr, e) },
+	})
+	writeReport(os.Stdout, rep, o)
 	if err != nil {
 		return err
 	}
-
-	fmt.Printf("cleaned %d buffering cells\n", res.CleanedCells)
-	fmt.Printf("regions: %d (+%d cells in group 0)\n", res.Grouping.Groups, res.Grouping.Group0)
-	fmt.Printf("flip-flops substituted: %d (+%d helper gates)\n",
-		res.Substitution.FFs, res.Substitution.ExtraGates)
-	switch res.Backend {
-	case core.BackendDesync:
-		if err := desyncGates(ctx, d, res, o); err != nil {
-			return err
-		}
-	case core.BackendTwoPhase:
-		if err := twophaseGates(d, res, o); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("no gate pipeline for backend %q", res.Backend)
-	}
+	d, res := rep.Design, rep.Result
 
 	if err := os.WriteFile(o.out, []byte(verilog.Write(d)), 0o644); err != nil {
 		return err
@@ -208,7 +191,7 @@ func run(ctx context.Context, o runOpts) error {
 		}
 	}
 	if o.tbOut != "" {
-		if res.Backend != core.BackendDesync {
+		if res.Insert == nil {
 			fmt.Fprintf(os.Stderr, "drdesync: -tb drives the handshake reset protocol; not applicable to the %s backend, skipped\n", res.Backend)
 		} else if err := os.WriteFile(o.tbOut, []byte(core.WriteTestbench(d, res, "", o.period)), 0o644); err != nil {
 			return err
@@ -224,4 +207,59 @@ func run(ctx context.Context, o runOpts) error {
 		}
 	}
 	return nil
+}
+
+// logEvent prints a gate's findings and the pipeline's notes to w as they
+// happen; pass verdicts stay silent.
+func logEvent(w io.Writer, e gates.Event) {
+	switch e.Kind {
+	case gates.KindFindings:
+		if len(e.Findings.Findings) > 0 {
+			fmt.Fprintf(w, "drdesync: %s lint:\n", e.Gate)
+			for _, f := range e.Findings.Findings {
+				fmt.Fprintf(w, "  %s\n", f)
+			}
+		}
+	case gates.KindNote:
+		fmt.Fprintf(w, "drdesync: %s\n", e.Msg)
+	}
+}
+
+// writeReport prints the run's summary and the text reports of the gates
+// that ran — as far as the run got when a gate stopped it.
+func writeReport(w io.Writer, rep *gates.Report, o runOpts) {
+	if res := rep.Result; res != nil {
+		if o.simplify {
+			fmt.Fprintf(w, "simplified %d names\n", rep.Renamed)
+		}
+		fmt.Fprintf(w, "cleaned %d buffering cells\n", res.CleanedCells)
+		fmt.Fprintf(w, "regions: %d (+%d cells in group 0)\n", res.Grouping.Groups, res.Grouping.Group0)
+		fmt.Fprintf(w, "flip-flops substituted: %d (+%d helper gates)\n",
+			res.Substitution.FFs, res.Substitution.ExtraGates)
+		if res.Insert != nil {
+			for _, g := range res.DDG.Nodes {
+				fmt.Fprintf(w, "  region %d: succs %v, comb %.3f ns, delay element %d levels\n",
+					g, res.DDG.Succs[g], res.RegionDelays[g].CombMax, res.DelayLevels[g])
+			}
+			fmt.Fprintf(w, "controllers: %d, C-tree cells: %d, delay cells: %d\n",
+				res.Insert.Controllers, res.Insert.CTreeCells, res.Insert.DelayCells)
+			fmt.Fprintf(w, "control network: %d regions derived, insert-claim cross-check clean\n",
+				len(res.Network.Regions))
+		}
+		if tp, ok := res.BackendResult.(*twophase.Result); ok {
+			fmt.Fprintf(w, "two-phase generator: ring %d levels, non-overlap %d levels, period %.3f ns (non-overlap gap %.3f ns)\n",
+				tp.RingLevels, tp.NovLevels, tp.Period, tp.NonOverlap)
+			fmt.Fprintf(w, "phase distribution: %d regions, %d generator cells, %d distribution buffers\n",
+				len(tp.Regions), tp.GenCells, tp.DistBufs)
+		}
+	}
+	if rep.Static != nil {
+		rep.Static.WriteText(w)
+	}
+	if rep.Equiv != nil {
+		rep.Equiv.WriteText(w)
+	}
+	if rep.Faults != nil {
+		fmt.Fprint(w, rep.Faults.Render())
+	}
 }

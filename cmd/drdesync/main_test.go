@@ -163,3 +163,25 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal("expected false-path error")
 	}
 }
+
+// TestEquivGateEndToEnd desynchronizes the DLX through run() with the
+// formal gate enabled: the freshly inserted control network must prove all
+// three properties, so the run exits clean.
+func TestEquivGateEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	lib := stdcells.New(stdcells.HighSpeed)
+	d, err := designs.BuildDLX(lib, designs.TestProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(dir, "dlx.v")
+	if err := os.WriteFile(in, []byte(verilog.Write(d)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), runOpts{
+		in: in, libVariant: "HS", out: filepath.Join(dir, "ddlx.v"),
+		period: 4.65, margin: 1.15, equivGate: true, equivXval: 1, equivSeed: 5,
+	}); err != nil {
+		t.Fatalf("run with -equiv failed: %v", err)
+	}
+}

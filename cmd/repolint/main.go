@@ -281,14 +281,14 @@ func checkFile(fset *token.FileSet, rel string, f *ast.File) []finding {
 }
 
 // flowErrorMintAllowlist exempts audited sites from RL-BACKEND's
-// FlowError-mint check. The only legitimate exemptions are the drdesync
-// CLI's post-flow gates: StageStatic and StageEquiv are driver-side stages
-// that run after Convert returns, so the skeleton cannot wrap them — the
-// gates mint their own staged errors to keep `failed during the %s stage`
+// FlowError-mint check. The only legitimate exemptions are the gate
+// pipeline's post-flow gates: StageStatic and StageEquiv are stages that
+// run after Convert returns, so the skeleton cannot wrap them — the gates
+// mint their own staged errors to keep `failed during the %s stage`
 // working for the whole run. Backend packages never qualify.
 var flowErrorMintAllowlist = map[string]bool{
-	"cmd/drdesync/static.go:staticGate": true,
-	"cmd/drdesync/equiv.go:equivGate":   true,
+	"internal/gates/gates.go:staticGate": true,
+	"internal/gates/gates.go:equivGate":  true,
 }
 
 // backendPackages lists every clocking-conversion backend package by import

@@ -142,13 +142,13 @@ import (
 var _ = core.BackendTwoPhase
 var _ = twophase.RstPortName
 `
-	if got := check(t, "cmd/drdesync/gates.go", cmd); len(got) != 0 {
+	if got := check(t, "cmd/drdesync/main.go", cmd); len(got) != 0 {
 		t.Fatalf("cmd driver importing a backend flagged: %v", got)
 	}
 }
 
 func TestBackendRuleMintAllowlist(t *testing.T) {
-	src := `package main
+	src := `package gates
 import "desync/internal/core"
 func staticGate() error {
 	return &core.FlowError{Stage: core.StageStatic}
@@ -157,7 +157,7 @@ func otherGate() error {
 	return &core.FlowError{Stage: core.StageStatic}
 }
 `
-	got := check(t, "cmd/drdesync/static.go", src)
+	got := check(t, "internal/gates/gates.go", src)
 	if len(got) != 1 || got[0] != "RL-BACKEND" {
 		t.Fatalf("want [RL-BACKEND] only for the unaudited mint, got %v", got)
 	}

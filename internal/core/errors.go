@@ -6,7 +6,7 @@ import (
 )
 
 // Flow stage names, in pipeline order. FlowError.Stage is always one of
-// these, so callers (cmd/drdesync's degradation logic, tests) can switch on
+// these, so callers (internal/gates' degradation loop, tests) can switch on
 // them without string guessing.
 const (
 	StageImport     = "import"
@@ -23,7 +23,7 @@ const (
 // Stages lists the in-flow pipeline stages in execution order — exactly the
 // sequence Options.Progress observes on a full run (StageClean is skipped
 // under SkipClean). StageStatic and StageEquiv are post-export gate stages
-// run by the drivers, not by Desynchronize itself.
+// run by the gate pipeline (internal/gates), not by Convert itself.
 var Stages = []string{
 	StageImport, StageClean, StageGroup, StageSubstitute,
 	StageSize, StageGenerate, StageExport,

@@ -13,7 +13,7 @@ import (
 // release at t=1, active-high resets pulse high then release at t=1, the
 // rst_desync controller reset releases at t=2 (after the datapath reset, as
 // in the reference DLX testbench), delsel taps take the bits of sel, and
-// every other input idles low. cmd/drdesync uses it when no hand-written
+// every other input idles low. The gate pipeline uses it when no hand-written
 // testbench is available; designs with other conventions supply their own
 // Stimulus function.
 func ResetStimulus(m *netlist.Module, sel int) func(*sim.Simulator) error {

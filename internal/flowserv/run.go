@@ -5,15 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 
-	"desync/internal/core"
-	"desync/internal/equiv"
-	"desync/internal/faults"
-	"desync/internal/lint"
-	"desync/internal/mga"
+	"desync/internal/gates"
 	"desync/internal/netlist"
 	"desync/internal/sta"
-	_ "desync/internal/twophase" // registers the twophase backend with the core flow
 	"desync/internal/verilog"
 )
 
@@ -72,14 +68,12 @@ func runGuarded(ctx context.Context, j *job, jobParallelism int) (arts map[strin
 // to race HTTP cancel/drain requests against.
 var testStageHook func(ctx context.Context, stage string)
 
-// runFlow drives the whole flow for one job: pre-import lint, the
-// desynchronization pipeline with per-stage progress events and mid-flow
-// lint gates, the post-export lint / static / optional equiv and faults
-// gates, and the artifact exports. It returns the artifacts produced so
-// far even on failure, so a tripped gate stays diagnosable over HTTP.
+// runFlow drives one job through the gate pipeline (internal/gates) with
+// per-stage progress events and a gate event as each gate passes, then
+// exports the artifacts. It returns the artifacts produced so far even on
+// failure, so a tripped gate stays diagnosable over HTTP.
 func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte, error) {
 	arts := map[string][]byte{}
-	d := j.design
 	// Submit-time validation already canonicalized once; a failure here
 	// would mean the request mutated in flight.
 	opts, err := j.req.Options.Canonicalize()
@@ -88,107 +82,71 @@ func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte
 	}
 	canonical := opts
 	opts.Parallelism = jobParallelism
-
-	// Pre-import gate: reject structurally broken inputs before the heavy
-	// pipeline touches them (same discipline as drdesync).
-	pre := lint.CheckDesign(d, lint.Options{Parallelism: opts.Parallelism})
-	if n := pre.Errors(); n > 0 {
-		return arts, fmt.Errorf("pre-import lint: %d error(s), first: %s", n, pre.Findings[0])
-	}
-	j.event("gate", "pre-import", "lint clean")
-
-	period := opts.Period
-	if period == 0 {
-		var err error
-		if period, err = derivePeriod(ctx, d.Top, opts.Parallelism); err != nil {
-			return arts, fmt.Errorf("deriving a period from STA: %w (pass options.period)", err)
+	co := opts.coreOptions()
+	co.Progress = func(stage string) {
+		j.setStage(stage)
+		if testStageHook != nil {
+			testStageHook(ctx, stage)
 		}
 	}
 
-	res, err := core.Convert(ctx, d, core.Options{
-		Backend:      opts.Backend,
-		Mode:         core.Mode(opts.Mode),
-		Period:       period,
-		Margin:       opts.Margin,
-		MuxTaps:      opts.MuxTaps,
-		ManualGroups: opts.ManualGroups,
-		SkipClean:    opts.SkipClean,
-		Parallelism:  opts.Parallelism,
-		Progress: func(stage string) {
-			j.setStage(stage)
-			if testStageHook != nil {
-				testStageHook(ctx, stage)
+	// The first attempt converts the design submit already built for the
+	// cache key; only a degraded retry rebuilds it from the request.
+	rep, err := gates.Run(ctx, func(attempt int) (*netlist.Design, error) {
+		if attempt == 0 {
+			return j.design, nil
+		}
+		return j.req.buildDesign()
+	}, gates.Plan{
+		Core:            co,
+		Period:          func(d *netlist.Design) (float64, error) { return derivePeriod(ctx, d.Top) },
+		Equiv:           opts.Equiv,
+		EquivMaxStates:  opts.EquivMaxStates,
+		Faults:          opts.Faults,
+		FaultCycles:     opts.FaultCycles,
+		FaultsPerRegion: opts.FaultsPerRegion,
+		OnEvent: func(e gates.Event) {
+			switch {
+			case e.Kind == gates.KindNote:
+				j.event("note", e.Gate, e.Msg)
+			case e.Kind == gates.KindPass && e.Gate == gates.GatePostExport:
+				j.event("gate", "lint", e.Msg)
+			case e.Kind == gates.KindPass:
+				j.event("gate", e.Gate, e.Msg)
 			}
-		},
-		StageCheck: func(stage string, midFlow bool) error {
-			rep := lint.Check(d.Top, lint.Options{MidFlow: midFlow, Parallelism: opts.Parallelism})
-			if n := rep.Errors(); n > 0 {
-				return fmt.Errorf("lint: %d error(s), first: %s", n, rep.Findings[0])
-			}
-			return nil
 		},
 	})
+	attach := func(name string, write func(io.Writer) error) {
+		var b bytes.Buffer
+		if write(&b) == nil {
+			arts[name] = b.Bytes()
+		}
+	}
+	if rep.Lint != nil {
+		if lj, err := rep.Lint.JSON(); err == nil {
+			arts[ArtifactLint] = lj
+		}
+	}
+	if rep.Static != nil {
+		attach(ArtifactStatic, rep.Static.WriteJSON)
+	}
+	if rep.Equiv != nil {
+		attach(ArtifactEquiv, rep.Equiv.WriteJSON)
+	}
+	if rep.Faults != nil {
+		attach(ArtifactFaults, rep.Faults.WriteJSON)
+	}
 	if err != nil {
 		return arts, err
 	}
 
-	// Post-export lint over the final design, cross-checked against the
-	// constraints the run generated. The rule family follows the backend:
-	// DS-* (reusing the flow's derived control-network IR) after a
-	// desynchronization, TP-* after a two-phase conversion.
-	lopts := lint.Options{Constraints: res.Constraints, Parallelism: opts.Parallelism}
-	if res.Backend == core.BackendDesync {
-		lopts.Desync = true
-		lopts.Network = res.Network
-	} else {
-		lopts.TwoPhase = true
-	}
-	lrep := lint.Check(d.Top, lopts)
-	if lj, err := lrep.JSON(); err == nil {
-		arts[ArtifactLint] = lj
-	}
-	if n := lrep.Errors(); n > 0 {
-		return arts, fmt.Errorf("post-export lint gate: %d error(s), first: %s", n, lrep.Findings[0])
-	}
-	j.event("gate", "lint", "post-export lint clean")
-
-	// The remaining gates model the handshake control network, so they run
-	// only for the desync backend. Canonicalization already zeroed the equiv
-	// and faults knobs for other backends; if the submitter asked anyway, say
-	// why nothing ran instead of silently passing.
-	staticOK := false
-	equivRan := false
-	equivNote := ""
-	if res.Backend == core.BackendDesync {
-		// Static marked-graph gate: always on, polynomial time.
-		srep, err := mga.Analyze(d.Top, res.Network, mga.Options{})
-		if err != nil {
-			return arts, fmt.Errorf("static marked-graph gate: %w", err)
-		}
-		var sbuf bytes.Buffer
-		if err := srep.WriteJSON(&sbuf); err == nil {
-			arts[ArtifactStatic] = sbuf.Bytes()
-		}
-		if n := srep.LintReport(srep.ModelFindings).Errors(); n > 0 {
-			return arts, fmt.Errorf("static marked-graph gate: %d error finding(s)", n)
-		}
-		j.event("gate", "static", "liveness, safety and period verdicts clean")
-		staticOK = true
-
-		equivRan, equivNote, err = runEquivGate(ctx, j, d, res, opts, arts)
-		if err != nil {
-			return arts, err
-		}
-		if opts.Faults {
-			if err := runFaultsGate(ctx, j, d, res, opts, period, arts); err != nil {
-				return arts, err
-			}
-		}
-	} else {
+	// Gates that do not apply say so instead of silently passing.
+	d, res := rep.Design, rep.Result
+	if rep.Static == nil {
 		j.event("note", "static", "marked-graph gates model the handshake control network; not applicable to the "+res.Backend+" backend")
-		if j.req.Options.Equiv || j.req.Options.Faults {
-			j.event("note", "gates", "equiv and faults gates are desync-only; dropped at canonicalization")
-		}
+	}
+	if (j.req.Options.Equiv && !opts.Equiv) || (j.req.Options.Faults && !opts.Faults) {
+		j.event("note", "gates", "equiv and faults gates are desync-only; dropped at canonicalization")
 	}
 
 	arts[ArtifactNetlist] = []byte(verilog.Write(d))
@@ -196,11 +154,16 @@ func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte
 	sum := Summary{
 		Design: d.Top.Name, Gen: j.req.Gen, Lib: j.req.Lib,
 		CacheKey: j.key, Options: canonical,
-		Period: period, Regions: res.Grouping.Groups,
+		Period: rep.Period, Regions: res.Grouping.Groups,
 		Cleaned: res.CleanedCells, FFs: res.Substitution.FFs,
-		UnderMargin: res.UnderMargin, LintErrors: lrep.Errors(),
-		StaticOK: staticOK, EquivRan: equivRan, EquivNote: equivNote,
-		FaultsRan: opts.Faults,
+		UnderMargin: res.UnderMargin, LintErrors: rep.Lint.Errors(),
+		StaticOK: rep.Static != nil, EquivRan: rep.Equiv != nil,
+		FaultsRan: rep.Faults != nil,
+	}
+	for _, e := range rep.Events {
+		if e.Kind == gates.KindNote && e.Gate == gates.GateEquiv {
+			sum.EquivNote = e.Msg
+		}
 	}
 	if res.Insert != nil {
 		sum.Controllers = res.Insert.Controllers
@@ -220,93 +183,18 @@ func runFlow(ctx context.Context, j *job, jobParallelism int) (map[string][]byte
 	return arts, nil
 }
 
-// runEquivGate runs the exhaustive marked-graph exploration when requested
-// and within the marking budget's reach, mirroring drdesync's downgrade
-// discipline: past the estimate, the static verdicts stand alone and the
-// job says so in an explicit note instead of truncating a search.
-func runEquivGate(ctx context.Context, j *job, d *netlist.Design, res *core.Result,
-	opts FlowOptions, arts map[string][]byte) (ran bool, note string, err error) {
-	if !opts.Equiv {
-		return false, "", nil
-	}
-	budget := opts.EquivMaxStates
-	if budget <= 0 {
-		budget = equiv.DefaultMaxStates
-	}
-	if est := mga.StateEstimate(res.Grouping.Groups); est > uint64(budget) {
-		note = fmt.Sprintf("state estimate %d exceeds the %d-marking budget; static verdicts stand alone", est, budget)
-		j.event("note", "equiv", note)
-		return false, note, nil
-	}
-	m, err := equiv.FromNetwork(d.Top, res.Network)
-	if err != nil {
-		return false, "", fmt.Errorf("equiv gate: %w", err)
-	}
-	eres, err := m.Explore(ctx, equiv.ExploreOptions{
-		MaxStates: opts.EquivMaxStates, Parallelism: opts.Parallelism,
-	})
-	if err != nil {
-		return false, "", fmt.Errorf("equiv gate: %w", err)
-	}
-	var ebuf bytes.Buffer
-	if err := eres.WriteJSON(&ebuf); err == nil {
-		arts[ArtifactEquiv] = ebuf.Bytes()
-	}
-	if n := eres.Report(m.Findings).Errors(); n > 0 {
-		return true, "", fmt.Errorf("equiv gate: %d error finding(s)", n)
-	}
-	if eres.Truncated {
-		note = fmt.Sprintf("truncated at %d markings; properties hold only up to this bound", eres.States)
-	}
-	j.event("gate", "equiv", "deadlock-freedom, phase safety and flow equivalence clean")
-	return true, note, nil
-}
-
-// runFaultsGate runs the default delay + control-stuck-at campaign against
-// the freshly desynchronized design and attaches the report. Escapes do not
-// fail the job — the report is the product — matching drdesync -faults.
-func runFaultsGate(ctx context.Context, j *job, d *netlist.Design, res *core.Result,
-	opts FlowOptions, period float64, arts map[string][]byte) error {
-	c, err := faults.NewCampaign(ctx, d.Top, faults.Config{
-		Stimulus:      faults.ResetStimulus(d.Top, 0),
-		Horizon:       2 + period*float64(opts.FaultCycles)*6,
-		QuiescenceGap: 8 * period,
-		SetupGuard:    true,
-		Parallelism:   opts.Parallelism,
-	})
-	if err != nil {
-		return fmt.Errorf("fault campaign: %w", err)
-	}
-	list := c.DelayFaults(40, opts.FaultsPerRegion)
-	list = append(list, c.ControlStuckFaults()...)
-	rep, err := c.Run(ctx, list)
-	if err != nil {
-		return fmt.Errorf("fault campaign: %w", err)
-	}
-	var fbuf bytes.Buffer
-	if err := rep.WriteJSON(&fbuf); err == nil {
-		arts[ArtifactFaults] = fbuf.Bytes()
-	}
-	j.event("gate", "faults", fmt.Sprintf("campaign ran %d faults", len(list)))
-	return nil
-}
-
 // derivePeriod measures the input design's synchronous clock period the way
 // the experiment flows do: the worst launch-to-capture budget over all
-// regions at the worst corner, with a 5% clock margin.
-func derivePeriod(ctx context.Context, m *netlist.Module, parallelism int) (float64, error) {
+// regions at the worst corner, with a 5% clock margin. It runs once the
+// input has passed the pre-import gate.
+func derivePeriod(ctx context.Context, m *netlist.Module) (float64, error) {
 	rds, err := sta.RegionDelays(ctx, m, netlist.Worst, sta.Options{})
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("deriving a period from STA: %w (pass options.period)", err)
 	}
-	p := 0.0
-	for _, rd := range rds {
-		if b := rd.Budget(); b > p {
-			p = b
-		}
-	}
+	p := sta.WorstBudget(rds)
 	if p <= 0 {
-		return 0, fmt.Errorf("no launch-to-capture budgets found")
+		return 0, fmt.Errorf("deriving a period from STA: no launch-to-capture budgets found (pass options.period)")
 	}
 	return p * 1.05, nil
 }

@@ -5,8 +5,8 @@
 // constraints and verification reports from stable artifact URLs.
 //
 // The server is built from the repo's existing layers rather than beside
-// them: jobs execute core.Convert under the request's backend with the
-// same gate discipline as cmd/drdesync, a bounded queue with per-job
+// them: jobs run the gate pipeline drdesync runs (internal/gates) under
+// the request's backend, a bounded queue with per-job
 // worker budgets layers on internal/par, and a content-addressed LRU
 // cache keyed on the canonical netlist hash plus canonicalized options
 // serves byte-identical artifacts for repeated submissions — the

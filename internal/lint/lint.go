@@ -207,7 +207,7 @@ type Options struct {
 	// cross-checked and the engine says so with an Info finding.
 	Constraints *sdc.Constraints
 	// Network is an already-derived control-network IR for the module under
-	// check. Callers that derived one (the flow, cmd/drdesync) pass it so
+	// check. Callers that derived one (the flow, internal/gates) pass it so
 	// one derivation serves the whole run; when nil — or when it belongs to
 	// a different module — the DS-* rules derive their own via
 	// ctrlnet.Derive, which is itself memoized.

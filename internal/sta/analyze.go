@@ -205,6 +205,16 @@ type RegionDelay struct {
 // Budget is the total delay a matched delay element must exceed.
 func (rd RegionDelay) Budget() float64 { return rd.ClkToQ + rd.CombMax + rd.Setup }
 
+// WorstBudget is the largest Budget over all regions (0 when there are
+// none): the synchronous clock period before any clock margin.
+func WorstBudget(rds map[int]*RegionDelay) float64 {
+	worst := 0.0
+	for _, rd := range rds {
+		worst = math.Max(worst, rd.Budget())
+	}
+	return worst
+}
+
 // RegionDelays computes, for each group id present in the module, the
 // combinational critical path into that group's sequential elements
 // (§3.2.5). The analysis runs register-bounded (latches opaque), so each
