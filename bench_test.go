@@ -9,6 +9,7 @@ package bench
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"desync/internal/core"
@@ -28,6 +29,7 @@ import (
 	"desync/internal/stdcells"
 	"desync/internal/stg"
 	"desync/internal/variability"
+	"desync/internal/verilog"
 )
 
 // BenchmarkTable21CMuller evaluates the C-Muller element truth table
@@ -371,6 +373,57 @@ func BenchmarkMGAStaticDLX(b *testing.B) {
 			b.Fatalf("static period bound drifted: %.4f ns", rep.PeriodNs)
 		}
 		b.ReportMetric(rep.PeriodNs, "period-ns")
+	}
+}
+
+// mgaFlatBudget caps the bytes one static analysis of the 1024-region flat
+// pipeline may allocate. The sparse kernels need ~13 MB there, while any
+// transition×transition or token-place×token-place table (a path-length
+// matrix, Karp's walk tables) costs hundreds of MB, so the guard trips
+// the moment a quadratic kernel comes back.
+const mgaFlatBudget = 48 << 20
+
+// BenchmarkMGAStaticFlat1024 runs one static analysis over a flat 32-stage,
+// 32-bit pipeline that automatic grouping splits into 1024 regions (the
+// generator's region assignment is dropped by a Verilog round trip, as for
+// a post-synthesis input) and fails when the analysis allocates more than
+// mgaFlatBudget per op. Allocation, unlike wall time, is deterministic.
+func BenchmarkMGAStaticFlat1024(b *testing.B) {
+	lib := stdcells.New(stdcells.HighSpeed)
+	gen, err := designs.ParseSpec("pipeline:depth=32,width=32,seed=7", lib)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := verilog.Read(verilog.Write(gen), lib, gen.Top.Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := core.Convert(context.Background(), d, core.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	cn := ctrlnet.Derive(d.Top)
+	m, err := equiv.FromNetwork(d.Top, cn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.ReadMemStats(&before)
+		rep := mga.AnalyzeModel(d.Top, cn, m, mga.Options{})
+		runtime.ReadMemStats(&after)
+		if !rep.Live || !rep.Safe || rep.PeriodNs <= 0 {
+			b.Fatalf("flat pipeline fails static verification: live=%v safe=%v period=%v", rep.Live, rep.Safe, rep.PeriodNs)
+		}
+		if rep.Regions < 1000 {
+			b.Fatalf("flat pipeline grouped into %d regions, want ~1024", rep.Regions)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		if alloc > mgaFlatBudget {
+			b.Fatalf("one static analysis allocated %.1f MB, budget %d MB", float64(alloc)/(1<<20), mgaFlatBudget>>20)
+		}
+		b.ReportMetric(float64(alloc)/(1<<20), "MB/analysis")
+		b.ReportMetric(float64(rep.Regions), "regions")
 	}
 }
 

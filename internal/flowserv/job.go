@@ -54,8 +54,12 @@ type job struct {
 	key string
 
 	// design is the input netlist, built at submit time to compute the
-	// content hash; the flow mutates it in place when the job runs.
+	// content hash; the flow mutates it in place when the job runs. It is
+	// dropped when the job terminates (cache hits and singleflight
+	// followers never run it), so finished jobs do not pin their inputs;
+	// top keeps the module name for status.
 	design *netlist.Design
+	top    string
 
 	mu       sync.Mutex
 	state    string
@@ -79,6 +83,9 @@ func newJob(id string, req *JobRequest, key string, d *netlist.Design) *job {
 		state:   StateQueued,
 		changed: make(chan struct{}),
 		done:    make(chan struct{}),
+	}
+	if d != nil {
+		j.top = d.Top.Name
 	}
 	j.event("submitted", "", "")
 	return j
@@ -144,6 +151,7 @@ func (j *job) finish(state, msg string, artifacts map[string][]byte, cached bool
 	j.state = state
 	j.errMsg = msg
 	j.cached = cached
+	j.design = nil
 	if artifacts != nil {
 		j.artifacts = artifacts
 	}
@@ -194,6 +202,7 @@ func (j *job) cancel(msg string) bool {
 	if j.state == StateQueued {
 		j.state = StateCanceled
 		j.errMsg = msg
+		j.design = nil
 		j.eventLocked(StateCanceled, "", msg)
 		close(j.done)
 		j.mu.Unlock()
@@ -212,12 +221,9 @@ func (j *job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := Status{
-		ID: j.id, State: j.state, Gen: j.req.Gen, Cached: j.cached,
+		ID: j.id, State: j.state, Design: j.top, Gen: j.req.Gen, Cached: j.cached,
 		Attached: j.attached, CacheKey: j.key, Stage: j.stage,
 		Error: j.errMsg, Events: len(j.events),
-	}
-	if j.design != nil {
-		st.Design = j.design.Top.Name
 	}
 	st.Artifacts = artifactNames(j.artifacts)
 	return st

@@ -464,7 +464,7 @@ func TestSubmitValidation(t *testing.T) {
 // paths over real HTTP: a full queue rejects with 503, a queued job
 // cancels instantly, a running job cancels at the next stage boundary.
 func TestCancelAndBackpressure(t *testing.T) {
-	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 
 	// Hold the running job at its first stage until its context is canceled
 	// (the flow itself finishes in milliseconds — far too fast to race the
@@ -494,6 +494,8 @@ func TestCancelAndBackpressure(t *testing.T) {
 	}
 	if st := waitTerminal(t, hs.URL, queued.ID); st.State != StateCanceled {
 		t.Fatalf("canceled queued job ended %s", st.State)
+	} else if st.Design == "" || holdsDesign(s, queued.ID) {
+		t.Fatalf("canceled queued job: status design %q, input still held %v", st.Design, holdsDesign(s, queued.ID))
 	}
 
 	if code, _ := mustPost(t, hs.URL+"/jobs/"+running.ID+"/cancel", ""); code != http.StatusOK {
@@ -506,6 +508,37 @@ func TestCancelAndBackpressure(t *testing.T) {
 	evs := streamEvents(t, hs.URL, running.ID)
 	if last := evs[len(evs)-1]; last.Kind != StateCanceled {
 		t.Fatalf("canceled job's stream ends with %+v", last)
+	}
+}
+
+// holdsDesign reports whether the job still references its input netlist.
+func holdsDesign(s *Server, id string) bool {
+	j := s.jobByID(id)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.design != nil
+}
+
+// TestFinishedJobDropsDesign: a terminal job keeps reporting its design's
+// name but no longer pins the input netlist — not after a fresh run, and
+// not on a cache hit, which never needed it.
+func TestFinishedJobDropsDesign(t *testing.T) {
+	s, hs := newTestServer(t, Config{})
+	fresh := submitJob(t, hs.URL, `{"gen":"arm"}`)
+	if fresh.Design == "" {
+		t.Fatal("submission status has no design name")
+	}
+	if st := waitTerminal(t, hs.URL, fresh.ID); st.State != StateDone || st.Design != fresh.Design {
+		t.Fatalf("finished job: state %s design %q, want done %q", st.State, st.Design, fresh.Design)
+	}
+	hit := submitJob(t, hs.URL, `{"gen":"arm"}`)
+	if !hit.Cached || hit.Design != fresh.Design {
+		t.Fatalf("resubmission: cached %v design %q, want a cache hit on %q", hit.Cached, hit.Design, fresh.Design)
+	}
+	for _, id := range []string{fresh.ID, hit.ID} {
+		if holdsDesign(s, id) {
+			t.Fatalf("terminal job %s still holds its input design", id)
+		}
 	}
 }
 

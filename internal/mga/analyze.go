@@ -212,11 +212,25 @@ func joinNames(names []string) string {
 // unbounded — tokens pour in and nothing ever drains them (a severed
 // acknowledge). Any bound above one breaks the single-rail channels the
 // controllers implement.
+//
+// Places sharing a consumer share the search: one minTokenDist per
+// transition with incoming places answers every one of them.
 func (g *Graph) checkBounds(r *Report) {
 	const inf = int(1) << 30
-	buf := newDistBuf(len(g.Trans))
-	for _, p := range g.Places {
-		d := g.minTokenDist(p.Dst, p.Src, inf, buf)
+	ret := make([]int, len(g.Places)) // min tokens back from p.Dst to p.Src
+	buf := newDistBuf(len(g.Trans), inf)
+	for v := range g.Trans {
+		if len(g.in[v]) == 0 {
+			continue
+		}
+		dist := g.minTokenDist(v, buf)
+		for _, pid := range g.in[v] {
+			ret[pid] = dist[g.Places[pid].Src]
+		}
+	}
+	for i := range g.Places {
+		p := &g.Places[i]
+		d := ret[i]
 		if d >= inf {
 			r.Safe = false
 			r.Findings = append(r.Findings, lint.Finding{
@@ -241,20 +255,35 @@ func (g *Graph) checkBounds(r *Report) {
 	}
 }
 
-// minTokenDist is a 0/1-weight shortest path from s to t over places
-// (weight = token count, clamped to 1), computed level by level: nodes
-// at the current token distance expand through 0-weight places in place,
-// 1-weight places feed the next level. O(places) per query — the graph
-// has two transitions per region, so this stays far from the quadratic
-// regime on any realistic design.
-func (g *Graph) minTokenDist(s, t, inf int, buf *distBuf) int {
+// minTokenDist is a 0/1-weight shortest-path search from transition s
+// over places (weight = token count, clamped to 1), computed level by
+// level: nodes at the current token distance expand through 0-weight
+// places in place, 1-weight places feed the next level. checkBounds only
+// reads the distances of the producers of s's incoming places, so the
+// search stops as soon as those are final: once level d is expanded,
+// every distance up to d+1 is. On a healthy network every return path
+// carries at most one token and the search stays within a few places of
+// s; only an unbounded place (no return path at all) drains everything
+// reachable. The returned slice is valid for those producers (other
+// entries may be tentative) until the next call on the same buffer.
+func (g *Graph) minTokenDist(s int, buf *distBuf) []int {
 	dist := buf.dist
-	for i := range dist {
-		dist[i] = inf
+	for _, v := range buf.touched {
+		dist[v] = buf.inf
 	}
+	touched := append(buf.touched[:0], s)
 	dist[s] = 0
-	cur, nxt := buf.cur[:0], buf.nxt[:0]
-	cur = append(cur, s)
+	cur, nxt := append(buf.cur[:0], s), buf.nxt[:0]
+	relax := func(v, d int) bool {
+		if d >= dist[v] {
+			return false
+		}
+		if dist[v] == buf.inf {
+			touched = append(touched, v)
+		}
+		dist[v] = d
+		return true
+	}
 	for d := 0; len(cur) > 0; d++ {
 		for len(cur) > 0 {
 			v := cur[len(cur)-1]
@@ -263,32 +292,50 @@ func (g *Graph) minTokenDist(s, t, inf int, buf *distBuf) int {
 				continue // superseded entry
 			}
 			for _, pid := range g.out[v] {
-				p := g.Places[pid]
+				p := &g.Places[pid]
 				if p.Tokens == 0 {
-					if d < dist[p.Dst] {
-						dist[p.Dst] = d
+					if relax(p.Dst, d) {
 						cur = append(cur, p.Dst)
 					}
-				} else if d+1 < dist[p.Dst] {
-					dist[p.Dst] = d + 1
+				} else if relax(p.Dst, d+1) {
 					nxt = append(nxt, p.Dst)
 				}
 			}
 		}
-		cur, nxt = nxt, cur[:0]
+		if g.producersWithin(s, dist, d+1) {
+			break
+		}
+		cur, nxt = nxt, cur
 	}
-	buf.cur, buf.nxt = cur, nxt
-	return dist[t]
+	buf.cur, buf.nxt, buf.touched = cur[:0], nxt[:0], touched
+	return dist
 }
 
-// distBuf is the scratch space minTokenDist reuses across the per-place
-// bound queries.
+// producersWithin reports whether every producer of s's incoming places
+// is at distance at most lim.
+func (g *Graph) producersWithin(s int, dist []int, lim int) bool {
+	for _, pid := range g.in[s] {
+		if dist[g.Places[pid].Src] > lim {
+			return false
+		}
+	}
+	return true
+}
+
+// distBuf is the scratch space minTokenDist reuses across the
+// per-transition bound searches: touched lists the entries of dist the
+// last search set, so the next one resets only those.
 type distBuf struct {
-	dist, cur, nxt []int
+	inf                     int
+	dist, cur, nxt, touched []int
 }
 
-func newDistBuf(n int) *distBuf {
-	return &distBuf{dist: make([]int, n), cur: make([]int, 0, n), nxt: make([]int, 0, n)}
+func newDistBuf(n, inf int) *distBuf {
+	b := &distBuf{inf: inf, dist: make([]int, n)}
+	for i := range b.dist {
+		b.dist[i] = inf
+	}
+	return b
 }
 
 // checkDDG cross-checks the request wiring against the data dependencies:

@@ -10,216 +10,49 @@ import (
 
 // analyzeCycles computes the maximum cycle ratio delay(C)/tokens(C) over
 // all directed cycles — the steady-state period of the handshake network
-// — together with one cycle attaining it, exactly and without cycle
-// enumeration:
+// — together with one cycle attaining it, without cycle enumeration and
+// in memory linear in the places.
 //
-//  1. Once liveness holds, the token-free subgraph is a DAG. Condense the
-//     graph onto its token-carrying places: an edge p→q means q's source
-//     transition is reachable from p's destination through token-free
-//     places, weighted by p's delay plus the longest token-free path
-//     between them (longest, because every transition is a rendezvous —
-//     it fires when its last input arrives).
-//  2. Every cycle of the condensed graph spends exactly one token per
-//     edge, so the maximum cycle *ratio* of the original graph is the
-//     maximum cycle *mean* of the condensed one — Karp's algorithm, with
-//     the critical cycle recovered from the walk that attains the bound.
+// The ratio comes from Howard's policy iteration (Cochet-Terrasson et al.
+// 1998), run directly on the marked graph: transitions are nodes, each
+// place an edge with weight Delay and transit Tokens. Liveness guarantees
+// every cycle carries a token, so every ratio is finite. Cycles lie inside
+// strongly connected components, so the iteration only sees places whose
+// two ends share a component; every node left has an outgoing place.
 //
-// Places with more than one initial token would make the condensation
-// undercount tokens (raising the computed period — still a sound upper
-// bound); the builder never creates them and checkBounds flags them.
+// The named critical cycle is canonical, independent of how the iteration
+// reached its optimum: among the places that are tight at the optimum
+// (their reduced cost is zero under the final potentials), take the
+// lowest-ID token place whose two ends share a strongly connected
+// component of the tight subgraph, close the cycle with a breadth-first
+// search over tight places in ascending ID order, and name it starting at
+// that place. The reported period is that cycle's exact ratio, summed in
+// name order.
 func (g *Graph) analyzeCycles(r *Report) {
-	// Longest token-free path between transitions, by DP over a reverse
-	// topological order of the token-free DAG.
-	n := len(g.Trans)
-	order := make([]int, 0, n)
-	state := make([]int, n) // 0 unvisited, 1 visiting, 2 done
-	var visit func(v int)
-	visit = func(v int) {
-		state[v] = 1
-		for _, pid := range g.out[v] {
-			p := g.Places[pid]
-			if p.Tokens > 0 || state[p.Dst] != 0 {
-				continue
-			}
-			visit(p.Dst)
-		}
-		state[v] = 2
-		order = append(order, v)
-	}
-	for v := 0; v < n; v++ {
-		if state[v] == 0 {
-			visit(v)
-		}
-	}
-	// order is reverse-topological: successors first. long[a*n+b] is the
-	// longest token-free delay from a to b; via[a*n+b] the first place on
-	// that path, for cycle reconstruction. Flat n×n arrays: this runs on
-	// the lint path of every drdesync invocation.
-	neg := math.Inf(-1)
-	long := make([]float64, n*n)
-	via := make([]int, n*n)
-	for i := range long {
-		long[i] = neg
-		via[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		long[i*n+i] = 0
-	}
-	for _, a := range order { // successors of a are already final
-		for _, pid := range g.out[a] {
-			p := g.Places[pid]
-			if p.Tokens > 0 {
-				continue
-			}
-			for b := 0; b < n; b++ {
-				if long[p.Dst*n+b] == neg {
-					continue
-				}
-				if d := p.Delay + long[p.Dst*n+b]; d > long[a*n+b] {
-					long[a*n+b] = d
-					via[a*n+b] = pid
-				}
-			}
-		}
-	}
-
-	// Condensed graph over token places.
-	var tok []int // place ids
-	for _, p := range g.Places {
-		if p.Tokens > 0 {
-			tok = append(tok, p.ID)
-		}
-	}
-	m := len(tok)
-	if m == 0 {
-		return // no tokens, no cycles (liveness would have failed on any cycle)
-	}
-	type cedge struct {
-		to int
-		w  float64
-	}
-	adj := make([][]cedge, m)
-	for i, pid := range tok {
-		p := g.Places[pid]
-		for j, qid := range tok {
-			q := g.Places[qid]
-			if long[p.Dst*n+q.Src] == neg {
-				continue
-			}
-			adj[i] = append(adj[i], cedge{j, p.Delay + long[p.Dst*n+q.Src]})
-		}
-	}
-
-	// Karp: D[k][v] = maximum weight of a k-edge walk ending at v from a
-	// virtual source (D[0] = 0 everywhere); parent pointers recover the
-	// critical walk.
-	D := make([]float64, (m+1)*m) // D[k*m+v], flat
-	par := make([]int, (m+1)*m)   // parent condensed node at step k
-	for i := range D {
-		D[i] = neg
-		par[i] = -1
-	}
-	for v := 0; v < m; v++ {
-		D[v] = 0
-	}
-	for k := 1; k <= m; k++ {
-		for u := 0; u < m; u++ {
-			if D[(k-1)*m+u] == neg {
-				continue
-			}
-			for _, e := range adj[u] {
-				if d := D[(k-1)*m+u] + e.w; d > D[k*m+e.to] {
-					D[k*m+e.to] = d
-					par[k*m+e.to] = u
-				}
-			}
-		}
-	}
-	best, bestV := neg, -1
-	for v := 0; v < m; v++ {
-		if D[m*m+v] == neg {
-			continue
-		}
-		low := math.Inf(1)
-		for k := 0; k < m; k++ {
-			if D[k*m+v] == neg {
-				continue
-			}
-			if mu := (D[m*m+v] - D[k*m+v]) / float64(m-k); mu < low {
-				low = mu
-			}
-		}
-		if low > best {
-			best, bestV = low, v
-		}
-	}
-	if bestV < 0 {
-		return // acyclic control graph (single region with environment on both sides is still cyclic)
-	}
-
-	// Critical cycle: walk the parent chain of the maximal walk; some
-	// condensed node repeats within m steps, and the repeated segment is a
-	// cycle whose mean is the maximum (Karp's standard reconstruction).
-	walk := make([]int, 0, m+1)
-	v := bestV
-	for k := m; k >= 0 && v >= 0; k-- {
-		walk = append(walk, v)
-		v = par[k*m+v]
-	}
-	// walk is reversed (end first); find a repeated node (the walk has at
-	// most m+1 entries, so a linear scan beats a map).
-	var cyc []int
-	for i, u := range walk {
-		for j := 0; j < i; j++ {
-			if walk[j] == u {
-				cyc = append(cyc, walk[j:i]...)
-				break
-			}
-		}
-		if len(cyc) > 0 {
-			break
-		}
-	}
+	h := g.howard()
+	cyc := h.criticalCycle(g)
 	if len(cyc) == 0 {
-		cyc = []int{bestV}
+		return // no cycle at all: nothing bounds the period
 	}
-	// The walk was collected end-first: reverse to firing order.
-	for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-		cyc[i], cyc[j] = cyc[j], cyc[i]
-	}
-
-	// Expand condensed nodes back to place names, inserting the token-free
-	// path between consecutive token places, and recompute the exact
-	// ratio of the extracted cycle (guards the reconstruction).
-	var names []string
+	names := make([]string, len(cyc))
 	total, tokens := 0.0, 0
-	for i, ci := range cyc {
-		p := g.Places[tok[ci]]
-		names = append(names, p.Name)
+	bottleneck, worst := "", -1.0
+	for i, pid := range cyc {
+		p := &g.Places[pid]
+		names[i] = p.Name
 		total += p.Delay
 		tokens += p.Tokens
-		next := g.Places[tok[cyc[(i+1)%len(cyc)]]]
-		at := p.Dst
-		for at != next.Src {
-			pid := via[at*n+next.Src]
-			if pid < 0 {
-				break
+		if p.Delay > worst {
+			worst, bottleneck = p.Delay, p.Channel
+			if bottleneck == "" {
+				bottleneck = p.Name
 			}
-			q := g.Places[pid]
-			names = append(names, q.Name)
-			total += q.Delay
-			at = q.Dst
 		}
 	}
-	period := best
-	if tokens > 0 {
-		if ratio := total / float64(tokens); ratio > period-1e-9 {
-			period = ratio // exact ratio of the named cycle
-		}
-	}
+	period := total / float64(tokens)
 	r.PeriodNs = period
 	r.CriticalCycle = names
-	r.Bottleneck = bottleneckOf(g, names)
+	r.Bottleneck = bottleneck
 	r.Findings = append(r.Findings, lint.Finding{
 		Rule: RuleCycle, Severity: lint.Info, Module: g.Design,
 		Msg: fmt.Sprintf("critical handshake cycle %s: static period bound %.4f ns", joinNames(names), period),
@@ -227,27 +60,274 @@ func (g *Graph) analyzeCycles(r *Report) {
 	g.perRegion(r)
 }
 
-// bottleneckOf names the channel contributing the largest delay on the
-// critical cycle (falling back to the slowest place's name).
-func bottleneckOf(g *Graph, names []string) string {
-	bestD, best := -1.0, ""
-	for _, nm := range names {
-		for i := range g.Places {
-			p := &g.Places[i]
-			if p.Name != nm {
+// relTol is the relative tolerance of the policy-improvement and
+// tightness tests: far above the rounding a potential accumulates along
+// any realistic path, far below the gap between distinct cycle ratios.
+const relTol = 1e-9
+
+// tol is the absolute slack allowed when comparing a and b.
+func tol(a, b float64) float64 {
+	return relTol * max(1, math.Abs(a), math.Abs(b))
+}
+
+// policy is the state of Howard's iteration: every node that lies on some
+// cycle follows one chosen out-place; following the choices from a node
+// ends in a policy cycle whose ratio is the node's value lam, and pot is
+// the node's potential relative to that cycle's root.
+type policy struct {
+	intra []bool    // intra[pid]: place pid's ends share a component
+	on    []bool    // on[v]: node v lies in a cyclic component
+	pick  []int     // pick[v]: chosen out-place of node v
+	lam   []float64 // ratio of the policy cycle v reaches
+	pot   []float64 // potential of v
+
+	state []uint8 // evaluate's per-node walk state
+	walk  []int   // evaluate's current walk
+}
+
+// howard runs policy iteration to the optimum. Each round evaluates the
+// current policy, then improves it in two phases: first every node
+// switches to an out-place reaching a strictly higher ratio; only when no
+// node can, every node switches to an out-place of the same ratio class
+// that strictly raises its potential. No switch in either phase means
+// the policy is optimal.
+func (g *Graph) howard() *policy {
+	n := len(g.Trans)
+	succ := make([][]int, n)
+	for i := range g.Places {
+		p := &g.Places[i]
+		succ[p.Src] = append(succ[p.Src], p.Dst)
+	}
+	comp := make([]int, n)
+	for c, scc := range tarjan(n, succ) {
+		for _, v := range scc {
+			comp[v] = c
+		}
+	}
+	h := &policy{
+		intra: make([]bool, len(g.Places)),
+		on:    make([]bool, n),
+		pick:  make([]int, n),
+		lam:   make([]float64, n),
+		pot:   make([]float64, n),
+		state: make([]uint8, n),
+	}
+	// Initial policy: the slowest intra-component out-place (lowest ID on
+	// ties, since out lists ascend).
+	for v := 0; v < n; v++ {
+		h.pick[v] = -1
+		for _, pid := range g.out[v] {
+			p := &g.Places[pid]
+			if comp[p.Src] != comp[p.Dst] {
 				continue
 			}
-			label := p.Channel
-			if label == "" {
-				label = p.Name
+			h.intra[pid] = true
+			h.on[v] = true
+			if h.pick[v] < 0 || p.Delay > g.Places[h.pick[v]].Delay {
+				h.pick[v] = pid
 			}
-			if p.Delay > bestD {
-				bestD, best = p.Delay, label
+		}
+	}
+	for {
+		h.evaluate(g)
+		if !h.improve(g) {
+			return h
+		}
+	}
+}
+
+// evaluate computes lam and pot for the current policy: each node's
+// choices lead into exactly one policy cycle; the cycle's lowest-ID node
+// is its root with potential 0, and every other node's potential is its
+// chosen place's reduced cost plus its successor's potential.
+func (h *policy) evaluate(g *Graph) {
+	const (
+		unseen = iota
+		onPath
+		done
+	)
+	state := h.state
+	for v := range state {
+		state[v] = unseen
+	}
+	next := func(v int) int { return g.Places[h.pick[v]].Dst }
+	settle := func(v int) {
+		p := &g.Places[h.pick[v]]
+		h.lam[v] = h.lam[p.Dst]
+		h.pot[v] = p.Delay - h.lam[v]*float64(p.Tokens) + h.pot[p.Dst]
+		state[v] = done
+	}
+	for v := range state {
+		if !h.on[v] || state[v] != unseen {
+			continue
+		}
+		walk := h.walk[:0]
+		u := v
+		for state[u] == unseen {
+			state[u] = onPath
+			walk = append(walk, u)
+			u = next(u)
+		}
+		if state[u] == onPath {
+			// A new policy cycle: the tail of the walk from u.
+			k := len(walk) - 1
+			for walk[k] != u {
+				k--
 			}
+			cyc := walk[k:]
+			root, at := cyc[0], 0
+			total, tokens := 0.0, 0
+			for i, w := range cyc {
+				p := &g.Places[h.pick[w]]
+				total += p.Delay
+				tokens += p.Tokens
+				if w < root {
+					root, at = w, i
+				}
+			}
+			h.lam[root] = total / float64(tokens)
+			h.pot[root] = 0
+			state[root] = done
+			// Settle the rest of the cycle backwards from the root.
+			for j := 1; j < len(cyc); j++ {
+				settle(cyc[(at-j+len(cyc))%len(cyc)])
+			}
+			walk = walk[:k]
+		}
+		for i := len(walk) - 1; i >= 0; i-- {
+			settle(walk[i])
+		}
+		h.walk = walk
+	}
+}
+
+// improve applies one improvement phase and reports whether any node
+// switched.
+func (h *policy) improve(g *Graph) bool {
+	changed := false
+	for v, on := range h.on {
+		if !on {
+			continue
+		}
+		best, lam := h.pick[v], h.lam[v]
+		for _, pid := range g.out[v] {
+			if d := g.Places[pid].Dst; h.intra[pid] && h.lam[d] > lam+tol(lam, h.lam[d]) {
+				best, lam = pid, h.lam[d]
+			}
+		}
+		if best != h.pick[v] {
+			h.pick[v] = best
+			changed = true
+		}
+	}
+	if changed {
+		return true
+	}
+	for v, on := range h.on {
+		if !on {
+			continue
+		}
+		best, pot := h.pick[v], h.pot[v]
+		for _, pid := range g.out[v] {
+			p := &g.Places[pid]
+			if !h.intra[pid] || h.lam[p.Dst] < h.lam[v]-tol(h.lam[v], h.lam[p.Dst]) {
+				continue
+			}
+			if val := h.reduced(p); val > pot+tol(pot, val) {
+				best, pot = pid, val
+			}
+		}
+		if best != h.pick[v] {
+			h.pick[v] = best
+			changed = true
+		}
+	}
+	return changed
+}
+
+// reduced is the potential place p offers its source: its delay less the
+// source's ratio per token, plus the destination's potential.
+func (h *policy) reduced(p *Place) float64 {
+	return p.Delay - h.lam[p.Src]*float64(p.Tokens) + h.pot[p.Dst]
+}
+
+// criticalCycle names the canonical critical cycle as place IDs in firing
+// order, or nil when the graph has no cycle.
+func (h *policy) criticalCycle(g *Graph) []int {
+	n := len(g.Trans)
+	best := math.Inf(-1)
+	for v, on := range h.on {
+		if on && h.lam[v] > best {
+			best = h.lam[v]
+		}
+	}
+	if math.IsInf(best, -1) {
+		return nil
+	}
+	// Tight subgraph: places between critical nodes whose reduced cost
+	// vanishes. Policy places are tight by construction.
+	tight := make([]bool, len(g.Places))
+	succ := make([][]int, n)
+	for v, on := range h.on {
+		if !on || h.lam[v] < best-tol(best, h.lam[v]) {
+			continue
+		}
+		for _, pid := range g.out[v] {
+			p := &g.Places[pid]
+			if !h.intra[pid] || h.lam[p.Dst] < best-tol(best, h.lam[p.Dst]) {
+				continue
+			}
+			if val := h.reduced(p); pid == h.pick[v] || val >= h.pot[v]-tol(h.pot[v], val) {
+				tight[pid] = true
+				succ[v] = append(succ[v], p.Dst)
+			}
+		}
+	}
+	comp := make([]int, n)
+	for c, scc := range tarjan(n, succ) {
+		for _, v := range scc {
+			comp[v] = c
+		}
+	}
+	start := -1
+	for i := range g.Places {
+		p := &g.Places[i]
+		if tight[i] && p.Tokens > 0 && comp[p.Src] == comp[p.Dst] {
+			start = i
 			break
 		}
 	}
-	return best
+	if start < 0 {
+		return nil // unreachable on a live graph: every tight cycle carries a token
+	}
+	// Shortest tight return path from start's consumer to its producer,
+	// expanding out-places in ascending ID order.
+	p0 := &g.Places[start]
+	via := make([]int, n) // place that first reached each node
+	queue := []int{p0.Dst}
+	seen := make([]bool, n)
+	seen[p0.Dst] = true
+	for len(queue) > 0 && !seen[p0.Src] {
+		v := queue[0]
+		queue = queue[1:]
+		for _, pid := range g.out[v] {
+			d := g.Places[pid].Dst
+			if tight[pid] && comp[d] == comp[v] && !seen[d] {
+				seen[d] = true
+				via[d] = pid
+				queue = append(queue, d)
+			}
+		}
+	}
+	var back []int
+	for v := p0.Src; v != p0.Dst; v = g.Places[via[v]].Src {
+		back = append(back, via[v])
+	}
+	cyc := []int{start}
+	for i := len(back) - 1; i >= 0; i-- {
+		cyc = append(cyc, back[i])
+	}
+	return cyc
 }
 
 // perRegion reports, for every region, its locally worst channel cycle —

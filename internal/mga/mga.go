@@ -22,10 +22,10 @@
 //     with no return path is unbounded — a request channel whose
 //     acknowledge was severed.
 //   - throughput: the steady-state period equals the maximum cycle ratio
-//     delay(C)/tokens(C) over all cycles, computed exactly by condensing
-//     the token-free subgraph (a DAG once liveness holds) and running
-//     Karp's maximum-mean-cycle algorithm, which also names the critical
-//     handshake cycle and its bottleneck channel.
+//     delay(C)/tokens(C) over all cycles, computed by Howard's policy
+//     iteration on the sparse graph (memory linear in the places); the
+//     tight subgraph at the optimum names a canonical critical handshake
+//     cycle and its bottleneck channel.
 //
 // Place delays are priced from the library arcs the simulator uses (worst
 // corner, instance delay factors included), walking the actual request

@@ -2,7 +2,10 @@ package mga
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -215,5 +218,85 @@ func TestLintReportFoldsFindings(t *testing.T) {
 	}
 	if len(lr.ByRule("EQ-MODEL")) != 1 {
 		t.Fatal("lint report lost the extra model finding")
+	}
+}
+
+// returnTokens is the per-place oracle for checkBounds: a plain Dijkstra
+// from p's consumer, returning the minimum token count over paths back to
+// its producer (-1 when there is none).
+func returnTokens(g *Graph, p Place) int {
+	const inf = int(1) << 30
+	dist := make([]int, len(g.Trans))
+	done := make([]bool, len(g.Trans))
+	for i := range dist {
+		dist[i] = inf
+	}
+	dist[p.Dst] = 0
+	for {
+		v := -1
+		for u := range dist {
+			if !done[u] && dist[u] < inf && (v < 0 || dist[u] < dist[v]) {
+				v = u
+			}
+		}
+		if v < 0 {
+			break
+		}
+		done[v] = true
+		for _, q := range g.Places {
+			if q.Src == v {
+				dist[q.Dst] = min(dist[q.Dst], dist[v]+min(q.Tokens, 1))
+			}
+		}
+	}
+	if dist[p.Src] == inf {
+		return -1
+	}
+	return dist[p.Src]
+}
+
+// TestBoundsMatchPerPlaceSearch: the shared per-transition searches must
+// give every place exactly the bound a search of its own gives, on random
+// graphs that are often unsafe (extra tokens, severed return paths).
+func TestBoundsMatchPerPlaceSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(16)
+		g := &Graph{Design: "bounds"}
+		for i := 0; i < n; i++ {
+			g.AddTransition(fmt.Sprintf("T%d", i), TransMaster, i)
+		}
+		for i, m := 0, rng.Intn(3*n+1); i < m; i++ {
+			g.AddPlace(Place{Src: rng.Intn(n), Dst: rng.Intn(n), Tokens: rng.Intn(3), Delay: 1, Name: fmt.Sprintf("p%d", i)})
+		}
+		r := g.Analyze()
+		var want []string
+		maxBound, safe := 0, true
+		for _, p := range g.Places {
+			d := returnTokens(g, p)
+			switch {
+			case d < 0:
+				safe = false
+				want = append(want, fmt.Sprintf("place %s is unbounded", p.Name))
+			case p.Tokens+d > 1:
+				safe = false
+				want = append(want, fmt.Sprintf("place %s can hold %d tokens", p.Name, p.Tokens+d))
+				fallthrough
+			default:
+				maxBound = max(maxBound, p.Tokens+d)
+			}
+		}
+		var got []string
+		for _, f := range r.Findings {
+			if f.Rule == RuleSafe && strings.HasPrefix(f.Msg, "place ") {
+				got = append(got, f.Msg[:strings.Index(f.Msg, ":")])
+			}
+		}
+		sort.Strings(want)
+		sort.Strings(got)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") || r.MaxBound != maxBound || r.Safe != safe {
+			t.Fatalf("trial %d: bounds findings %q max %d safe %v, per-place search %q max %d safe %v",
+				trial, got, r.MaxBound, r.Safe, want, maxBound, safe)
+		}
 	}
 }

@@ -16,19 +16,22 @@ import (
 // its checkpoint journal) still see the exact serial order — byte-identical
 // output at any worker count.
 //
-// The reorder buffer is naturally bounded: results travel through a channel
-// of capacity workers, so a worker that has raced far ahead of the fold
-// blocks sending and the caller holds at most ~2*workers undelivered
-// results at any moment.
+// The look-ahead is bounded: a worker may only claim index i once every
+// index up to i-2*workers has been folded, so however slow the fold (an
+// fsync per record, say) at most 2*workers results are computed but not
+// yet folded at any moment, and the reorder buffer never holds more.
 //
-// fold may return an error to stop the sweep early (a graceful cutoff such
-// as "too many failures"); that error is returned as-is, no further fold
-// calls happen, and in-flight computes are cancelled. A compute error also
-// stops the fold — results already folded stay folded (the journal keeps a
-// valid prefix), and the error returned is deterministic ForEach-style: the
-// lowest-index compute error that is not a cancellation echo. Because the
-// fold is strictly ordered, a fold error always precedes (in index order)
-// any concurrent compute error, so it wins.
+// Cancelling ctx stops the fold as the serial path does: ctx is checked
+// before every fold call, none happens once it is cancelled, and ctx.Err()
+// is returned. fold may return an error to stop the sweep early (a
+// graceful cutoff such as "too many failures"); that error is returned
+// as-is, no further fold calls happen, and in-flight computes are
+// cancelled. A compute error also stops the fold — results already
+// folded stay folded (the journal keeps a valid prefix), and the error
+// returned is deterministic ForEach-style: the lowest-index compute error
+// that is not a cancellation echo. Because the fold is strictly ordered,
+// a fold error always precedes (in index order) any concurrent compute
+// error, so it wins.
 func Fold[R any](ctx context.Context, workers, start, n int, compute func(ctx context.Context, i int) (R, error), fold func(i int, r R) error) error {
 	if start < 0 {
 		start = 0
@@ -65,6 +68,13 @@ func Fold[R any](ctx context.Context, workers, start, n int, compute func(ctx co
 		r   R
 		err error
 	}
+	// tickets bounds the look-ahead: claiming an index takes a ticket and
+	// folding it hands the ticket back.
+	window := 2 * workers
+	tickets := make(chan struct{}, window)
+	for k := 0; k < window; k++ {
+		tickets <- struct{}{}
+	}
 	ch := make(chan slot, workers)
 	var next atomic.Int64
 	next.Store(int64(start))
@@ -74,11 +84,13 @@ func Fold[R any](ctx context.Context, workers, start, n int, compute func(ctx co
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				select {
+				case <-tickets:
+				case <-cctx.Done():
 					return
 				}
-				if cctx.Err() != nil {
+				i := int(next.Add(1)) - 1
+				if i >= n || cctx.Err() != nil {
 					return
 				}
 				r, err := compute(cctx, i)
@@ -95,9 +107,10 @@ func Fold[R any](ctx context.Context, workers, start, n int, compute func(ctx co
 		close(ch)
 	}()
 
-	pending := make(map[int]slot, 2*workers)
+	pending := make(map[int]slot, window)
 	errs := map[int]error{}
 	var foldErr error
+	stopped := false
 	want := start
 	for s := range ch {
 		if s.err != nil {
@@ -105,7 +118,7 @@ func Fold[R any](ctx context.Context, workers, start, n int, compute func(ctx co
 			cancel()
 			continue
 		}
-		if foldErr != nil || len(errs) > 0 {
+		if stopped || len(errs) > 0 {
 			continue // draining after a stop: never fold past the first error
 		}
 		pending[s.i] = s
@@ -114,13 +127,20 @@ func Fold[R any](ctx context.Context, workers, start, n int, compute func(ctx co
 			if !ok {
 				break
 			}
+			if ctx.Err() != nil {
+				stopped = true
+				cancel()
+				break
+			}
 			delete(pending, want)
 			if err := fold(p.i, p.r); err != nil {
 				foldErr = err
+				stopped = true
 				cancel()
 				break
 			}
 			want++
+			tickets <- struct{}{}
 		}
 	}
 	if foldErr != nil {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestFoldOrdered: the fold must see every index exactly once, strictly
@@ -133,5 +135,66 @@ func TestFoldCancel(t *testing.T) {
 		func(i, r int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// TestFoldNoFoldAfterCancel: with a slow fold and fast computes, cancelling
+// the parent context inside fold call k stops the fold right there — the
+// parallel path honours cancellation before every fold call, as the serial
+// path does before every index — and the call returns ctx.Err().
+func TestFoldNoFoldAfterCancel(t *testing.T) {
+	const n, cut = 64, 10
+	for _, workers := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		folds := 0
+		err := Fold(ctx, workers, 0, n,
+			func(_ context.Context, i int) (int, error) { return i, nil },
+			func(i, r int) error {
+				folds++
+				time.Sleep(2 * time.Millisecond) // an fsync-bound journal append
+				if folds == cut {
+					cancel()
+				}
+				return nil
+			})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
+		}
+		if folds != cut {
+			t.Fatalf("workers=%d: %d fold calls, want %d (none after cancellation)", workers, folds, cut)
+		}
+	}
+}
+
+// TestFoldLookAheadBounded: a slow fold must not let fast workers run to
+// the end of the range — no index is computed more than 2*workers ahead of
+// the fold.
+func TestFoldLookAheadBounded(t *testing.T) {
+	const n = 200
+	for _, workers := range []int{2, 3, 8} {
+		var folded, worst atomic.Int64
+		err := Fold(context.Background(), workers, 0, n,
+			func(_ context.Context, i int) (int, error) {
+				ahead := int64(i) - folded.Load()
+				for {
+					w := worst.Load()
+					if ahead <= w || worst.CompareAndSwap(w, ahead) {
+						break
+					}
+				}
+				return i, nil
+			},
+			func(i, r int) error {
+				time.Sleep(200 * time.Microsecond)
+				folded.Add(1)
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := worst.Load(); got >= int64(2*workers) {
+			t.Fatalf("workers=%d: computed index %d ahead of the fold, bound %d", workers, got, 2*workers)
+		}
 	}
 }
